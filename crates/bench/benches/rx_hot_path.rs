@@ -13,7 +13,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use desim::DetRng;
 use std::hint::black_box;
 use vlc_channel::link::{ChannelConfig, OpticalChannel, RxScratch};
-use vlc_channel::OperatingPointCache;
 
 /// A frame-sized slot batch: deterministic pseudo-payload plus the
 /// 32-slot inter-frame gap, about what one AMPPM frame occupies on air.
@@ -41,18 +40,6 @@ fn bench_analytic(c: &mut Criterion) {
         // Memo invalidated every iteration: times the shared-map hit,
         // the cost a channel pays right after a state change.
         let mut ch = OpticalChannel::new(cfg, DetRng::seed_from_u64(1));
-        let lux = cfg.ambient_lux;
-        b.iter(|| {
-            ch.set_ambient_lux(lux);
-            black_box(ch.analytic_error_probs())
-        })
-    });
-
-    group.bench_function("cache_disabled", |b| {
-        // Force-disabled cache: identical bookkeeping, fresh compute —
-        // the semantics-preserving "off" mode the determinism test pins.
-        let mut ch = OpticalChannel::new(cfg, DetRng::seed_from_u64(1));
-        ch.set_op_cache(OperatingPointCache::with_enabled(false));
         let lux = cfg.ambient_lux;
         b.iter(|| {
             ch.set_ambient_lux(lux);

@@ -1,6 +1,6 @@
 //! Wall-clock audit of the parallel experiment runner: each figure
-//! workload timed serially (`SMARTVLC_THREADS=1`) and at the machine's
-//! parallelism, written as machine-readable JSON to
+//! workload timed serially (one thread) and at `SMARTVLC_THREADS` or the
+//! machine's parallelism, written as machine-readable JSON to
 //! `results/BENCH_runner.json` (override the directory with
 //! `SMARTVLC_RESULTS`).
 //!
@@ -17,7 +17,7 @@ use smartvlc_obs as obs;
 use smartvlc_sim::static_run::{
     paper_levels, run_distance_matrix, run_incidence_matrix, run_scheme_matrix,
 };
-use smartvlc_sim::{run_broadcast, Seat, StaticPoint};
+use smartvlc_sim::{run_broadcast, with_threads, Seat, StaticPoint};
 use std::time::Instant;
 use vlc_channel::link::{ChannelConfig, OpticalChannel, RxScratch};
 
@@ -125,12 +125,9 @@ fn rx_hot_path_section() -> String {
     let analytic_ratio = analytic_baseline_ns / analytic_cached_ns.max(1e-9);
 
     // Semantics gate before the speed gate: the interned operating point
-    // must be the freshly computed one, bit for bit (cache force-disabled
-    // on a twin channel).
-    let mut ch_off = OpticalChannel::new(ch_cfg, root.fork("analytic"));
-    ch_off.set_op_cache(vlc_channel::OperatingPointCache::with_enabled(false));
+    // must be the freshly computed one, bit for bit.
     let cached = ch.analytic_error_probs();
-    let fresh = ch_off.analytic_error_probs();
+    let fresh = ch_cfg.detector_with(1.0, false).error_probs();
     assert_eq!(
         (cached.p_on_error.to_bits(), cached.p_off_error.to_bits()),
         (fresh.p_on_error.to_bits(), fresh.p_off_error.to_bits()),
@@ -249,18 +246,15 @@ fn measure<R: PartialEq>(
     threads: usize,
     work: impl Fn() -> R,
 ) -> Timing {
-    std::env::set_var("SMARTVLC_THREADS", "1");
     let serial_rec = obs::Recorder::new();
     let t0 = Instant::now();
-    let serial = obs::with_recorder(&serial_rec, &work);
+    let serial = with_threads(1, || obs::with_recorder(&serial_rec, &work));
     let serial_s = t0.elapsed().as_secs_f64();
 
-    std::env::set_var("SMARTVLC_THREADS", threads.to_string());
     let parallel_rec = obs::Recorder::new();
     let t1 = Instant::now();
-    let parallel = obs::with_recorder(&parallel_rec, &work);
+    let parallel = with_threads(threads, || obs::with_recorder(&parallel_rec, &work));
     let parallel_s = t1.elapsed().as_secs_f64();
-    std::env::remove_var("SMARTVLC_THREADS");
 
     let serial_snap = serial_rec.snapshot();
     let parallel_snap = parallel_rec.snapshot();

@@ -24,10 +24,11 @@
 //! in-binary gate asserts the coordinated scheduler never leaves
 //! cell-edge users worse off than equal share on the 4×4 grid.
 //!
-//! The suite re-runs itself at `SMARTVLC_THREADS=1` and `=8` and
-//! verifies all batteries' reports are byte-identical — the runner's
-//! determinism contract, enforced on the cell path every time this
-//! binary runs (CI diffs the same pair).
+//! The suite runs every battery at one thread and again at eight under
+//! `runner::with_threads`, and verifies all batteries' reports are
+//! byte-identical — the runner's determinism contract, enforced on the
+//! cell path every time this binary runs (CI diffs the same pair across
+//! processes).
 
 use smartvlc_bench::{f, full_run, results_dir};
 use smartvlc_sim::cell::{
@@ -35,21 +36,10 @@ use smartvlc_sim::cell::{
     run_cell_policies, run_cell_scale, CellSuiteSummary, ScalePoint,
 };
 use smartvlc_sim::report::markdown_table;
-use smartvlc_sim::task_seed;
+use smartvlc_sim::{task_seed, with_threads};
 
 const BASE_SEED: u64 = 0xce11_5eed;
 const SCALE_SEED: u64 = 0x5ca1_ab1e;
-
-fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    let old = std::env::var("SMARTVLC_THREADS").ok();
-    std::env::set_var("SMARTVLC_THREADS", threads.to_string());
-    let out = f();
-    match old {
-        Some(v) => std::env::set_var("SMARTVLC_THREADS", v),
-        None => std::env::remove_var("SMARTVLC_THREADS"),
-    }
-    out
-}
 
 fn run_at(threads: usize, replicates: usize) -> (String, String, Vec<CellSuiteSummary>) {
     with_threads(threads, || cell_suite_artifacts(replicates, BASE_SEED))
@@ -66,11 +56,11 @@ fn main() {
     let (parallel, parallel_csv, _) = run_at(8, replicates);
     assert_eq!(
         serial, parallel,
-        "cell suite differs between SMARTVLC_THREADS=1 and 8"
+        "cell suite differs between 1 and 8 threads"
     );
     assert_eq!(
         serial_csv, parallel_csv,
-        "cell telemetry CSV differs between SMARTVLC_THREADS=1 and 8"
+        "cell telemetry CSV differs between 1 and 8 threads"
     );
 
     // Scale battery: each scenario run serially (timed — the wall-clock
@@ -91,7 +81,7 @@ fn main() {
     assert_eq!(
         scale_json,
         cell_scale_json(&pooled),
-        "scale battery differs between serial and SMARTVLC_THREADS=8"
+        "scale battery differs between serial and 8 threads"
     );
 
     // Policy battery: every scheduling policy on the reference grids with
@@ -105,7 +95,7 @@ fn main() {
     assert_eq!(
         policy_json,
         cell_policy_json(&policies_par),
-        "policy battery differs between SMARTVLC_THREADS=1 and 8"
+        "policy battery differs between 1 and 8 threads"
     );
     // Coordination gate: on the reference 4×4 grid the coordinated
     // scheduler must not leave cell-edge users worse off than equal
@@ -204,7 +194,7 @@ fn main() {
             &rows,
         )
     );
-    println!("determinism: SMARTVLC_THREADS=1 and 8 reports are byte-identical");
+    println!("determinism: 1- and 8-thread reports are byte-identical");
     println!(
         "rx hot path: {hits} op-point cache hits / {misses} misses ({:.2}% hit rate raw, \
          {:.1}% with 50-lux sensor quantization), \

@@ -10,16 +10,17 @@
 //! object plus a `goodput_retained_delta`, so
 //! `grep '"fec_on"' results/BENCH_chaos.json` shows what the code buys.
 //!
-//! The suite then re-runs itself at `SMARTVLC_THREADS=1` and `=8` and
-//! verifies the two JSON reports are byte-identical — the runner's
-//! determinism contract, enforced on the chaos path (both legs) every
-//! time this binary runs (CI diffs the same pair).
+//! The suite runs at one thread (the run it prints and writes) and again
+//! at eight under `runner::with_threads`, and verifies the two JSON
+//! reports are byte-identical — the runner's determinism contract,
+//! enforced on the chaos path (both legs) every time this binary runs (CI
+//! diffs the same pair across processes).
 
 use smartvlc_bench::{f, full_run, indent_json, results_dir};
 use smartvlc_obs as obs;
 use smartvlc_sim::chaos::{ChaosFecComparison, ChaosSummary};
 use smartvlc_sim::report::markdown_table;
-use smartvlc_sim::run_chaos_suite_fec;
+use smartvlc_sim::{run_chaos_suite_fec, with_threads};
 
 const BASE_SEED: u64 = 0x5eed_c4a0;
 
@@ -128,23 +129,24 @@ fn suite_report(replicates: usize) -> (String, String, Vec<ChaosFecComparison>) 
     )
 }
 
-fn run_at(threads: Option<usize>, replicates: usize) -> (String, String) {
-    let old = std::env::var("SMARTVLC_THREADS").ok();
-    if let Some(n) = threads {
-        std::env::set_var("SMARTVLC_THREADS", n.to_string());
-    }
-    let (json, csv, _) = suite_report(replicates);
-    match old {
-        Some(v) => std::env::set_var("SMARTVLC_THREADS", v),
-        None => std::env::remove_var("SMARTVLC_THREADS"),
-    }
-    (json, csv)
-}
-
 fn main() {
     let replicates = if full_run() { 5 } else { 2 };
 
-    let (_, _, comparisons) = suite_report(replicates);
+    // Determinism gate first: the serial run both feeds the table and
+    // becomes the written artifact, so what we print is what we checked.
+    // The whole suite — both legs AND telemetry — must be byte-identical
+    // at 8 threads.
+    let (serial, serial_csv, comparisons) = with_threads(1, || suite_report(replicates));
+    let (parallel, parallel_csv, _) = with_threads(8, || suite_report(replicates));
+    assert_eq!(
+        serial, parallel,
+        "chaos suite differs between 1 and 8 threads"
+    );
+    assert_eq!(
+        serial_csv, parallel_csv,
+        "chaos telemetry CSV differs between 1 and 8 threads"
+    );
+
     let mut rows = Vec::new();
     for c in &comparisons {
         let s = &c.off;
@@ -179,19 +181,7 @@ fn main() {
         )
     );
 
-    // Determinism gate: the whole suite — both legs AND telemetry —
-    // serial vs 8-way, byte-identical.
-    let (serial, serial_csv) = run_at(Some(1), replicates);
-    let (parallel, parallel_csv) = run_at(Some(8), replicates);
-    assert_eq!(
-        serial, parallel,
-        "chaos suite differs between SMARTVLC_THREADS=1 and 8"
-    );
-    assert_eq!(
-        serial_csv, parallel_csv,
-        "chaos telemetry CSV differs between SMARTVLC_THREADS=1 and 8"
-    );
-    println!("determinism: SMARTVLC_THREADS=1 and 8 reports are byte-identical");
+    println!("determinism: 1- and 8-thread reports are byte-identical");
 
     let path = results_dir().join("BENCH_chaos.json");
     std::fs::write(&path, &serial).expect("write BENCH_chaos.json");

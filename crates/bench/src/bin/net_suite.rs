@@ -10,17 +10,18 @@
 //! `grep '"fec_on"' results/BENCH_net.json` shows what the code buys in
 //! datagram terms.
 //!
-//! The suite then re-runs itself at `SMARTVLC_THREADS=1` and `=8` and
-//! verifies the two JSON reports are byte-identical — the runner's
-//! determinism contract, enforced on the datagram path (both legs)
-//! every time this binary runs (CI diffs the same pair).
+//! The suite runs at one thread (the run it prints and writes) and again
+//! at eight under `runner::with_threads`, and verifies the two JSON
+//! reports are byte-identical — the runner's determinism contract,
+//! enforced on the datagram path (both legs) every time this binary
+//! runs (CI diffs the same pair across processes).
 
 use smartvlc_bench::{f, full_run, indent_json, results_dir};
 use smartvlc_obs as obs;
 use smartvlc_sim::net_suite::{NetFecComparison, NetSummary};
 use smartvlc_sim::report::markdown_table;
-use smartvlc_sim::run_net_suite_fec;
 use smartvlc_sim::stats_util::Percentiles;
+use smartvlc_sim::{run_net_suite_fec, with_threads};
 
 const BASE_SEED: u64 = 0x5eed_4e71;
 
@@ -137,19 +138,6 @@ fn suite_report(replicates: usize) -> (String, String, Vec<NetFecComparison>) {
     )
 }
 
-fn run_at(threads: Option<usize>, replicates: usize) -> (String, String) {
-    let old = std::env::var("SMARTVLC_THREADS").ok();
-    if let Some(n) = threads {
-        std::env::set_var("SMARTVLC_THREADS", n.to_string());
-    }
-    let (json, csv, _) = suite_report(replicates);
-    match old {
-        Some(v) => std::env::set_var("SMARTVLC_THREADS", v),
-        None => std::env::remove_var("SMARTVLC_THREADS"),
-    }
-    (json, csv)
-}
-
 fn pct_cell(p: &Option<Percentiles>) -> (String, String, String) {
     match p {
         Some(p) => (f(p.p50, 0), f(p.p95, 0), f(p.p99, 0)),
@@ -160,7 +148,21 @@ fn pct_cell(p: &Option<Percentiles>) -> (String, String, String) {
 fn main() {
     let replicates = if full_run() { 5 } else { 2 };
 
-    let (_, _, comparisons) = suite_report(replicates);
+    // Determinism gate first: the serial run both feeds the table and
+    // becomes the written artifact, so what we print is what we checked.
+    // The whole suite — both legs AND telemetry — must be byte-identical
+    // at 8 threads.
+    let (serial, serial_csv, comparisons) = with_threads(1, || suite_report(replicates));
+    let (parallel, parallel_csv, _) = with_threads(8, || suite_report(replicates));
+    assert_eq!(
+        serial, parallel,
+        "net suite differs between 1 and 8 threads"
+    );
+    assert_eq!(
+        serial_csv, parallel_csv,
+        "net telemetry CSV differs between 1 and 8 threads"
+    );
+
     let mut rows = Vec::new();
     for c in &comparisons {
         let s = &c.off;
@@ -199,19 +201,7 @@ fn main() {
         )
     );
 
-    // Determinism gate: the whole suite — both legs AND telemetry —
-    // serial vs 8-way, byte-identical.
-    let (serial, serial_csv) = run_at(Some(1), replicates);
-    let (parallel, parallel_csv) = run_at(Some(8), replicates);
-    assert_eq!(
-        serial, parallel,
-        "net suite differs between SMARTVLC_THREADS=1 and 8"
-    );
-    assert_eq!(
-        serial_csv, parallel_csv,
-        "net telemetry CSV differs between SMARTVLC_THREADS=1 and 8"
-    );
-    println!("determinism: SMARTVLC_THREADS=1 and 8 reports are byte-identical");
+    println!("determinism: 1- and 8-thread reports are byte-identical");
 
     let path = results_dir().join("BENCH_net.json");
     std::fs::write(&path, &serial).expect("write BENCH_net.json");

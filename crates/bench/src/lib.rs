@@ -7,11 +7,15 @@
 
 use std::path::PathBuf;
 
-/// Where generators drop their CSVs (created on demand).
+/// Where generators drop their CSVs (created on demand): `results/`, or
+/// the directory named by `SMARTVLC_RESULTS`.
 pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("SMARTVLC_RESULTS")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("results"));
+    results_dir_in(std::env::var_os("SMARTVLC_RESULTS").map(PathBuf::from))
+}
+
+/// [`results_dir`] with the `SMARTVLC_RESULTS` override passed as a value.
+fn results_dir_in(dir: Option<PathBuf>) -> PathBuf {
+    let dir = dir.unwrap_or_else(|| PathBuf::from("results"));
     std::fs::create_dir_all(&dir).expect("create results dir");
     dir
 }
@@ -60,13 +64,13 @@ mod tests {
 
     #[test]
     fn results_dir_is_created() {
-        std::env::set_var(
-            "SMARTVLC_RESULTS",
-            std::env::temp_dir().join("svlc_results"),
-        );
-        let d = results_dir();
-        assert!(d.exists());
-        std::env::remove_var("SMARTVLC_RESULTS");
+        let want = std::env::temp_dir()
+            .join(format!("svlc_results_{}", std::process::id()))
+            .join("nested");
+        let d = results_dir_in(Some(want.clone()));
+        assert_eq!(d, want);
+        assert!(d.is_dir());
+        std::fs::remove_dir_all(want.parent().unwrap()).unwrap();
     }
 
     #[test]

@@ -48,27 +48,3 @@ pub mod rs;
 pub use interleave::{decode, encode, FecDecode};
 pub use profile::FecProfile;
 pub use rs::{ReedSolomon, RsError};
-
-/// The kill switch: `SMARTVLC_FEC=off` (or `0`) force-disables coding
-/// process-wide while keeping every other code path and RNG draw
-/// identical — the artifact-compatibility lever CI pulls to check that
-/// the ARQ-only numbers are reproducible from the same binary.
-pub fn enabled_from_env() -> bool {
-    !matches!(
-        std::env::var("SMARTVLC_FEC").as_deref(),
-        Ok("off") | Ok("0")
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn env_gate_defaults_on() {
-        // The variable is not set in the test environment.
-        if std::env::var("SMARTVLC_FEC").is_err() {
-            assert!(enabled_from_env());
-        }
-    }
-}

@@ -88,8 +88,8 @@ pub struct LinkConfig {
     pub faults: FaultPlan,
     /// Nominal outer-code profile ([`FecMode::Off`] = the uncoded
     /// pre-FEC pipeline). The degradation ladder may escalate it toward
-    /// Heavy before dropping AMPPM tiers. `SMARTVLC_FEC=off` (or `0`)
-    /// forces `Off` regardless of this field.
+    /// Heavy before dropping AMPPM tiers. The ARQ-only reference run is
+    /// this field set to `Off` on the same seed; nothing overrides it.
     pub fec: FecMode,
 }
 
@@ -283,28 +283,20 @@ impl LinkSimulation {
         }
         let root = DetRng::seed_from_u64(cfg.seed);
         let initial_ambient = 0.0; // set properly on the first sense tick
-                                   // The kill switch is read once per simulation, not per frame:
-                                   // `SMARTVLC_FEC=off` forces the uncoded pipeline with identical
-                                   // bookkeeping, keeping fec-off artifacts byte-identical.
-        let fec = if smartvlc_fec::enabled_from_env() {
-            cfg.fec
-        } else {
-            FecMode::Off
-        };
         let tx = Transmitter::new(
             cfg.sys.clone(),
             cfg.scheme,
             cfg.illum_target,
             initial_ambient,
             cfg.fixed_step_floor,
-            fec,
+            cfg.fec,
             root.fork("tx-payload"),
         )?;
         let mut rx = Receiver::new(cfg.sys.clone()).map_err(LinkError::from)?;
         // An uncoded link rejects FEC-flagged headers as corruption
         // (nobody legitimately sends them), so the fec-off event stream
         // and telemetry match a build without the outer code at all.
-        rx.set_accept_fec(fec != FecMode::Off);
+        rx.set_accept_fec(cfg.fec != FecMode::Off);
         let channel = OpticalChannel::new(cfg.channel, root.fork("channel"));
         let tracker = AckTracker::with_backoff(cfg.ack_timeout, cfg.max_retries, root.fork("mac"));
         let wifi: Box<dyn SideChannel<UplinkMsg>> = match cfg.uplink {

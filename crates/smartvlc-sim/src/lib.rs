@@ -102,7 +102,7 @@ pub use net_suite::{
 pub use perception::{StudyCondition, UserStudy, Viewing};
 pub use runner::{
     par_map, par_sweep, par_sweep_summaries, parse_thread_count, task_rng, task_seed, thread_count,
-    TaskId,
+    with_threads, TaskId,
 };
 pub use scenario::{CellScenarioBuilder, ChaosScenarioBuilder, NetScenarioBuilder, ScenarioError};
 pub use static_run::{

@@ -26,13 +26,18 @@
 //!    the `Arc`-shared read-mostly structures from `combinat` and
 //!    `smartvlc-core`.
 //!
-//! Thread count comes from `SMARTVLC_THREADS` (or the machine's available
-//! parallelism), and `SMARTVLC_THREADS=1` degenerates to exactly the old
-//! serial loop — same results, same order.
+//! The thread count is a value, never a mutated environment: a caller
+//! pins it for a scope with [`with_threads`] (a thread-local override,
+//! restored on exit and on unwind, that [`par_map`] workers inherit).
+//! Outside any such scope it comes from `SMARTVLC_THREADS`, which the
+//! bins' users set at process start (or the machine's available
+//! parallelism). One thread degenerates to exactly the old serial loop —
+//! same results, same order.
 
 use crate::stats_util::{try_summarize, Summary};
 use desim::DetRng;
 use smartvlc_obs as obs;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Parses a raw `SMARTVLC_THREADS` value into a worker count.
@@ -61,20 +66,58 @@ pub fn parse_thread_count(raw: &str) -> Result<usize, String> {
     }
 }
 
-/// Worker threads to use: `SMARTVLC_THREADS` if set, otherwise the
-/// machine's available parallelism.
+thread_local! {
+    /// The innermost [`with_threads`] count on this thread, if any.
+    static THREADS: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Puts the enclosing count back when a [`with_threads`] scope ends,
+/// including by unwinding.
+struct RestoreThreads(Option<usize>);
+
+impl Drop for RestoreThreads {
+    fn drop(&mut self) {
+        THREADS.with(|t| t.set(self.0));
+    }
+}
+
+/// Runs `f` with the work pool pinned to `n` worker threads on this
+/// thread and on the workers of any [`par_map`] it starts.
+///
+/// Scopes nest — the innermost wins — and the enclosing count is restored
+/// when `f` returns or panics. Other threads are unaffected, so
+/// concurrent callers may hold different counts.
 ///
 /// # Panics
 ///
-/// Panics with a message naming the bad value if `SMARTVLC_THREADS` is set
-/// but is not a positive decimal integer (see [`parse_thread_count`]).
+/// Panics if `n` is zero.
+pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    assert!(n > 0, "with_threads: the thread count must be positive");
+    let _restore = RestoreThreads(THREADS.with(|t| t.replace(Some(n))));
+    f()
+}
+
+/// Worker threads to use: the innermost [`with_threads`] count if one is
+/// in scope, else `SMARTVLC_THREADS` if set, otherwise the machine's
+/// available parallelism.
+///
+/// # Panics
+///
+/// Panics with a message naming the bad value if `SMARTVLC_THREADS` is
+/// consulted but is not a positive decimal integer (see
+/// [`parse_thread_count`]).
 pub fn thread_count() -> usize {
-    match std::env::var("SMARTVLC_THREADS") {
-        Ok(v) => match parse_thread_count(&v) {
-            Ok(n) => n,
-            Err(msg) => panic!("{msg}"),
-        },
-        Err(_) => std::thread::available_parallelism()
+    match THREADS.with(Cell::get) {
+        Some(n) => n,
+        None => env_thread_count(std::env::var("SMARTVLC_THREADS").ok().as_deref()),
+    }
+}
+
+/// The count selected by a raw `SMARTVLC_THREADS` value (`None` = unset).
+fn env_thread_count(raw: Option<&str>) -> usize {
+    match raw {
+        Some(v) => parse_thread_count(v).unwrap_or_else(|msg| panic!("{msg}")),
+        None => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
     }
@@ -138,7 +181,10 @@ where
         }
     };
 
-    let threads = thread_count().min(points.len().max(1));
+    // Workers (fresh threads) inherit the caller's effective count, so a
+    // nested par_map sizes itself exactly as it would on the caller.
+    let inherited = thread_count();
+    let threads = inherited.min(points.len().max(1));
     if threads <= 1 {
         return points
             .iter()
@@ -155,6 +201,7 @@ where
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 s.spawn(|_| {
+                    THREADS.with(|t| t.set(Some(inherited)));
                     let mut local = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -248,28 +295,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Run `f` with `SMARTVLC_THREADS` pinned to the raw string `raw`,
-    /// serializing access to the process-global env var across the test
-    /// binary.
-    fn with_threads_raw<R>(raw: &str, f: impl FnOnce() -> R) -> R {
-        static ENV_LOCK: Mutex<()> = Mutex::new(());
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let old = std::env::var("SMARTVLC_THREADS").ok();
-        std::env::set_var("SMARTVLC_THREADS", raw);
-        let out = f();
-        match old {
-            Some(v) => std::env::set_var("SMARTVLC_THREADS", v),
-            None => std::env::remove_var("SMARTVLC_THREADS"),
-        }
-        out
-    }
-
-    /// Run `f` with `SMARTVLC_THREADS` pinned to `n`.
-    fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-        with_threads_raw(&n.to_string(), f)
-    }
 
     #[test]
     fn par_map_preserves_order() {
@@ -357,8 +382,63 @@ mod tests {
         assert_eq!(with_threads(3, thread_count), 3);
         assert_eq!(with_threads(1, thread_count), 1);
         // Surrounding whitespace around a valid integer is tolerated.
-        assert_eq!(with_threads_raw("  4 ", thread_count), 4);
+        assert_eq!(env_thread_count(Some("  4 ")), 4);
+        assert!(env_thread_count(None) >= 1);
         assert!(thread_count() >= 1);
+    }
+
+    #[test]
+    fn with_threads_nests_and_restores() {
+        let ambient = thread_count();
+        with_threads(3, || {
+            assert_eq!(with_threads(5, thread_count), 5);
+            assert_eq!(thread_count(), 3, "restored after an inner scope");
+            let caught = std::panic::catch_unwind(|| with_threads(7, || panic!("inner task")));
+            assert!(caught.is_err());
+            assert_eq!(thread_count(), 3, "restored after an inner panic");
+        });
+        assert_eq!(thread_count(), ambient, "restored after the outer scope");
+    }
+
+    #[test]
+    fn nested_par_map_sees_the_callers_count() {
+        let points: Vec<u8> = vec![0; 6];
+        let seen = with_threads(3, || {
+            par_map(&points, |_, _| {
+                let inner = par_map(&points, |_, _| thread_count());
+                (thread_count(), inner)
+            })
+        });
+        for (outer, inner) in seen {
+            assert_eq!(outer, 3);
+            assert_eq!(inner, vec![3; 6]);
+        }
+    }
+
+    #[test]
+    fn concurrent_overrides_do_not_interfere() {
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for n in [2, 6] {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    with_threads(n, || {
+                        barrier.wait();
+                        for _ in 0..1000 {
+                            assert_eq!(thread_count(), n);
+                            std::thread::yield_now();
+                        }
+                        barrier.wait();
+                    })
+                });
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "thread count must be positive")]
+    fn with_threads_rejects_zero() {
+        with_threads(0, || ());
     }
 
     #[test]
@@ -390,7 +470,7 @@ mod tests {
     #[test]
     fn thread_count_panics_on_invalid_env() {
         for bad in ["abc", "0x8", "0", ""] {
-            let caught = with_threads_raw(bad, || std::panic::catch_unwind(thread_count));
+            let caught = std::panic::catch_unwind(|| env_thread_count(Some(bad)));
             let payload = caught.expect_err(&format!("SMARTVLC_THREADS={bad:?} must panic"));
             let msg = payload
                 .downcast_ref::<String>()

@@ -5,7 +5,7 @@
 //!    scheduler-driven core must produce bit-identical reports. This is
 //!    the gate ISSUE 9 requires before the lockstep path can go.
 //! 2. **Thread determinism at scale** — the 8×8 × 100-user scenario,
-//!    fanned out on the work pool at `SMARTVLC_THREADS=1/2/8`, must
+//!    fanned out on the work pool at 1/2/8 threads, must
 //!    produce byte-identical scaling-curve JSON and bit-identical
 //!    per-user results.
 //! 3. **Grant conservation** — proptest over random configurations
@@ -20,23 +20,7 @@ use smartvlc_sim::cell::{
     run_cell, run_cell_lockstep, CellConfig, CellReport, CellTrafficSpec, SchedulerSpec,
 };
 use smartvlc_sim::scenario::CellScenarioBuilder;
-use smartvlc_sim::{cell_scale_json, cell_scenarios, par_sweep, ScalePoint, TaskId};
-use std::sync::Mutex;
-
-/// Serialize env mutation across the test binary's threads.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let old = std::env::var("SMARTVLC_THREADS").ok();
-    std::env::set_var("SMARTVLC_THREADS", n.to_string());
-    let out = f();
-    match old {
-        Some(v) => std::env::set_var("SMARTVLC_THREADS", v),
-        None => std::env::remove_var("SMARTVLC_THREADS"),
-    }
-    out
-}
+use smartvlc_sim::{cell_scale_json, cell_scenarios, par_sweep, with_threads, ScalePoint, TaskId};
 
 /// Everything in a report except the queue-only observables
 /// (`events`/`queue_peak`, which the lockstep oracle reports as 0),

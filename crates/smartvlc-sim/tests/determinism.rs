@@ -1,6 +1,6 @@
 //! The runner's reproducibility contract, checked end-to-end: every
 //! experiment that fans out on the work pool must produce **bit-identical**
-//! results at any `SMARTVLC_THREADS`.
+//! results at any thread count.
 //!
 //! These tests run real simulations (short durations) at 1, 2, and 8
 //! threads and compare the outputs at the f64 *bit* level — not within an
@@ -11,36 +11,7 @@ use desim::SimDuration;
 use proptest::prelude::*;
 use smartvlc_link::SchemeKind;
 use smartvlc_sim::static_run::{run_distance_matrix, run_scheme_matrix};
-use smartvlc_sim::{par_sweep, run_broadcast, task_rng, Seat};
-use std::sync::Mutex;
-
-/// Serialize env mutation across the test binary's threads.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_env<R>(threads: usize, opcache: Option<&str>, f: impl FnOnce() -> R) -> R {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let old_threads = std::env::var("SMARTVLC_THREADS").ok();
-    let old_opcache = std::env::var("SMARTVLC_OPCACHE").ok();
-    std::env::set_var("SMARTVLC_THREADS", threads.to_string());
-    match opcache {
-        Some(v) => std::env::set_var("SMARTVLC_OPCACHE", v),
-        None => std::env::remove_var("SMARTVLC_OPCACHE"),
-    }
-    let out = f();
-    match old_threads {
-        Some(v) => std::env::set_var("SMARTVLC_THREADS", v),
-        None => std::env::remove_var("SMARTVLC_THREADS"),
-    }
-    match old_opcache {
-        Some(v) => std::env::set_var("SMARTVLC_OPCACHE", v),
-        None => std::env::remove_var("SMARTVLC_OPCACHE"),
-    }
-    out
-}
-
-fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    with_env(n, None, f)
-}
+use smartvlc_sim::{par_sweep, run_broadcast, task_rng, with_threads, Seat};
 
 /// A sweep result reduced to exact bits, so equality is byte equality.
 fn fingerprint(sweeps: &[Vec<smartvlc_sim::StaticPoint>]) -> Vec<(u64, u64, u64)> {
@@ -219,11 +190,11 @@ fn cell_suite_is_byte_identical_across_thread_counts() {
     let (json8, csv8, sums8) = run(8);
     assert_eq!(
         json1, json8,
-        "BENCH_cell.json differs between SMARTVLC_THREADS=1 and 8"
+        "BENCH_cell.json differs between 1 and 8 threads"
     );
     assert_eq!(
         csv1, csv8,
-        "TELEMETRY_cell.csv differs between SMARTVLC_THREADS=1 and 8"
+        "TELEMETRY_cell.csv differs between 1 and 8 threads"
     );
     // Bit-level, below the 6-decimal JSON formatting: per-user delivered
     // bits and handover counters must match exactly.
@@ -246,30 +217,20 @@ fn cell_suite_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn cell_suite_is_byte_identical_with_opcache_disabled() {
+#[cfg(debug_assertions)]
+fn cell_suite_opcache_hits_match_the_recompute() {
     // The operating-point cache is an interning layer, not an
-    // approximation: force-disabling it (`SMARTVLC_OPCACHE=off`) must
-    // reproduce the exact artifact bytes — including the hit/miss
-    // counters, which the disabled cache still books identically.
-    let cached = with_env(1, None, || smartvlc_sim::cell_suite_artifacts(1, 2026));
-    let uncached = with_env(1, Some("off"), || {
-        smartvlc_sim::cell_suite_artifacts(1, 2026)
-    });
-    assert_eq!(
-        cached.0, uncached.0,
-        "BENCH_cell.json differs with the operating-point cache disabled"
+    // approximation: in debug builds every map hit recomputes
+    // `detector_with(..).error_probs()` and asserts the interned value
+    // bit-equal, so running the battery is the check. The raw leg's
+    // per-tick ambient noise never repeats a key; the quantized leg must
+    // actually hit the map for the check to mean anything.
+    let (_, _, sums) = with_threads(1, || smartvlc_sim::cell_suite_artifacts(1, 2026));
+    let hits: u64 = sums.iter().map(|s| s.opcache_hits_quantized).sum();
+    assert!(
+        hits > 0,
+        "quantized leg took no op-cache hits — the check is vacuous"
     );
-    assert_eq!(
-        cached.1, uncached.1,
-        "TELEMETRY_cell.csv differs with the operating-point cache disabled"
-    );
-    // The cache must actually be exercised for this gate to mean anything.
-    let queries: u64 = cached
-        .2
-        .iter()
-        .map(|s| s.opcache_hits + s.opcache_misses)
-        .sum();
-    assert!(queries > 0, "battery issued no operating-point queries");
 }
 
 #[test]

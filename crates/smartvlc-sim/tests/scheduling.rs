@@ -10,8 +10,7 @@
 //!    donor, and every cell's own airtime plus its donated airtime
 //!    stays within one tick.
 //! 3. **Policy battery determinism** — the 4×4 leg of the policy
-//!    battery produces byte-identical JSON at `SMARTVLC_THREADS=1`
-//!    and `=8`, and the bench binary's cell-edge gate (coordinated p5
+//!    battery produces byte-identical JSON at 1 and 8 threads, and the bench binary's cell-edge gate (coordinated p5
 //!    ≥ equal-share p5) holds from a plain test context too.
 
 use proptest::prelude::*;
@@ -20,23 +19,7 @@ use smartvlc_sim::cell::{
     LinkEstimate, PolicyPoint, PolicyScenario, ScheduleContext, SchedulerSpec, TickPlan,
 };
 use smartvlc_sim::scenario::CellScenarioBuilder;
-use smartvlc_sim::{jain_index, par_sweep, task_seed, TaskId};
-use std::sync::Mutex;
-
-/// Serialize env mutation across the test binary's threads.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let old = std::env::var("SMARTVLC_THREADS").ok();
-    std::env::set_var("SMARTVLC_THREADS", n.to_string());
-    let out = f();
-    match old {
-        Some(v) => std::env::set_var("SMARTVLC_THREADS", v),
-        None => std::env::remove_var("SMARTVLC_THREADS"),
-    }
-    out
-}
+use smartvlc_sim::{jain_index, par_sweep, task_seed, with_threads, TaskId};
 
 /// Same seed, same scenario, two policies: the only degree of freedom
 /// is the scheduler.
@@ -100,7 +83,7 @@ fn policy_battery_is_deterministic_and_keeps_the_edge_gate() {
     assert_eq!(
         cell_policy_json(&t1),
         cell_policy_json(&t8),
-        "policy battery JSON differs between SMARTVLC_THREADS=1 and 8"
+        "policy battery JSON differs between 1 and 8 threads"
     );
 
     let point = |policy: &str| {

@@ -27,12 +27,12 @@
 //! one instance, hit/miss sequences are a pure function of the query
 //! sequence.
 //!
-//! Setting `SMARTVLC_OPCACHE=off` (or `0`) force-disables value reuse
-//! for A/B validation: the cache still performs *identical bookkeeping*
-//! (key construction, map population, hit/miss counters) but returns a
-//! freshly computed value on every query — so artifacts must stay
-//! byte-identical with the cache on or off, and any divergence would
-//! indict the cache itself.
+//! The reference is always [`ChannelConfig::detector_with`] plus
+//! `error_probs()`. Debug builds check every map hit against it: the hit
+//! recomputes the operating point and asserts every [`SlotDetector`]
+//! field and both error probabilities bit-equal to the interned value, so
+//! each `cargo test` run exercises the cache's invisibility on every hit
+//! it takes.
 
 use crate::detector::{ChannelErrorProbs, SlotDetector};
 use crate::link::{ChannelConfig, CONFIG_FINGERPRINT_WORDS};
@@ -73,9 +73,6 @@ impl OpKey {
 
 struct CacheInner {
     map: Mutex<HashMap<OpKey, CachedOp>>,
-    /// When false (`SMARTVLC_OPCACHE=off`), bookkeeping runs identically
-    /// but every query returns a fresh computation.
-    enabled: bool,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -96,24 +93,11 @@ impl Default for OperatingPointCache {
 }
 
 impl OperatingPointCache {
-    /// A fresh cache. Value reuse honors the `SMARTVLC_OPCACHE`
-    /// environment variable (`off`/`0` disables it, see module docs);
-    /// bookkeeping is identical either way.
+    /// A fresh, empty cache.
     pub fn new() -> OperatingPointCache {
-        let enabled = !matches!(
-            std::env::var("SMARTVLC_OPCACHE").as_deref(),
-            Ok("off") | Ok("0")
-        );
-        OperatingPointCache::with_enabled(enabled)
-    }
-
-    /// A fresh cache with value reuse explicitly on or off (tests;
-    /// production callers use [`OperatingPointCache::new`]).
-    pub fn with_enabled(enabled: bool) -> OperatingPointCache {
         OperatingPointCache {
             inner: Arc::new(CacheInner {
                 map: Mutex::new(HashMap::new()),
-                enabled,
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
             }),
@@ -132,18 +116,15 @@ impl OperatingPointCache {
                 drop(map);
                 self.inner.hits.fetch_add(1, Ordering::Relaxed);
                 obs::counter_add(obs::key!("channel.opcache.hit"), 1);
-                if self.inner.enabled {
-                    return op;
-                }
-                // Force-disabled: same counters, same map state, fresh
-                // math. Any byte difference between this and the cached
-                // value would be a keying bug (asserted debug-side).
-                let fresh = compute(cfg, extra_gain, saturated);
-                debug_assert_eq!(
-                    fresh.detector.mu_on_a.to_bits(),
-                    op.detector.mu_on_a.to_bits()
+                // Self-check: a hit must be exactly the fresh recompute;
+                // any difference would be a keying bug.
+                #[cfg(debug_assertions)]
+                assert_eq!(
+                    op_bits(&op),
+                    op_bits(&compute(cfg, extra_gain, saturated)),
+                    "interned operating point differs from detector_with"
                 );
-                return fresh;
+                return op;
             }
         }
         // Compute outside the lock (the BinomialTable::shared idiom);
@@ -192,6 +173,22 @@ fn compute(cfg: &ChannelConfig, extra_gain: f64, saturated: bool) -> CachedOp {
     }
 }
 
+/// Every field of an operating point as exact bits (destructured
+/// exhaustively, so a new field cannot slip past the self-check).
+#[cfg(debug_assertions)]
+fn op_bits(op: &CachedOp) -> [u64; 5] {
+    let SlotDetector {
+        mu_on_a,
+        mu_off_a,
+        sigma_a,
+    } = op.detector;
+    let ChannelErrorProbs {
+        p_off_error,
+        p_on_error,
+    } = op.probs;
+    [mu_on_a, mu_off_a, sigma_a, p_off_error, p_on_error].map(f64::to_bits)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,7 +204,7 @@ mod tests {
     #[test]
     fn hit_returns_the_interned_bits() {
         let cfg = ChannelConfig::paper_bench(3.6);
-        let cache = OperatingPointCache::with_enabled(true);
+        let cache = OperatingPointCache::new();
         let direct = cfg.detector_with(0.7, false);
         let first = cache.query(&cfg, 0.7, false);
         let second = cache.query(&cfg, 0.7, false);
@@ -223,7 +220,7 @@ mod tests {
 
     #[test]
     fn distinct_bits_are_distinct_entries() {
-        let cache = OperatingPointCache::with_enabled(true);
+        let cache = OperatingPointCache::new();
         let a = ChannelConfig::paper_bench(3.0);
         let mut b = a;
         b.ambient_lux = a.ambient_lux + 1.0;
@@ -237,24 +234,9 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_keeps_identical_bookkeeping_and_values() {
-        let cfg = ChannelConfig::paper_bench(2.5);
-        let on = OperatingPointCache::with_enabled(true);
-        let off = OperatingPointCache::with_enabled(false);
-        for _ in 0..3 {
-            let a = on.query(&cfg, 1.0, false);
-            let b = off.query(&cfg, 1.0, false);
-            assert_eq!(bits(&a.detector), bits(&b.detector));
-            assert_eq!(a.probs.p_off_error.to_bits(), b.probs.p_off_error.to_bits());
-        }
-        assert_eq!((on.hits(), on.misses()), (off.hits(), off.misses()));
-        assert_eq!(on.len(), off.len());
-    }
-
-    #[test]
     fn clones_share_the_map() {
         let cfg = ChannelConfig::paper_bench(1.5);
-        let a = OperatingPointCache::with_enabled(true);
+        let a = OperatingPointCache::new();
         let b = a.clone();
         a.query(&cfg, 1.0, false);
         b.query(&cfg, 1.0, false);
@@ -265,7 +247,7 @@ mod tests {
     #[test]
     fn diffuse_component_is_part_of_the_key() {
         use crate::optics::DiffuseReflection;
-        let cache = OperatingPointCache::with_enabled(true);
+        let cache = OperatingPointCache::new();
         let plain = ChannelConfig::paper_bench(3.0);
         let mut diffuse = plain;
         diffuse.geometry.diffuse = Some(DiffuseReflection::office());

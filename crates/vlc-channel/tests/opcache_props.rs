@@ -1,7 +1,6 @@
 //! Property tests for the operating-point cache: the interned values must
 //! be bit-identical to the direct computation for every reachable
-//! configuration, and a force-disabled cache must keep bookkeeping
-//! identical while returning fresh math.
+//! configuration, and distinct inputs must never share an entry.
 
 use proptest::prelude::*;
 use vlc_channel::link::ChannelConfig;
@@ -40,7 +39,7 @@ proptest! {
         let direct = cfg.detector_with(extra_gain, saturated);
         let direct_probs = direct.error_probs();
 
-        let cache = OperatingPointCache::with_enabled(true);
+        let cache = OperatingPointCache::new();
         // First query computes and interns; repeats are served from the
         // map. Every answer must carry the exact bits of the direct form.
         for _ in 0..3 {
@@ -50,16 +49,6 @@ proptest! {
             prop_assert_eq!(op.probs.p_on_error.to_bits(), direct_probs.p_on_error.to_bits());
         }
         prop_assert_eq!((cache.hits(), cache.misses()), (2, 1));
-
-        // A force-disabled cache returns the same bits with the same
-        // bookkeeping (the on-vs-off byte-identity contract).
-        let disabled = OperatingPointCache::with_enabled(false);
-        for _ in 0..3 {
-            let op = disabled.query(&cfg, extra_gain, saturated);
-            prop_assert_eq!(detector_bits(&op.detector), detector_bits(&direct));
-            prop_assert_eq!(op.probs.p_off_error.to_bits(), direct_probs.p_off_error.to_bits());
-        }
-        prop_assert_eq!((disabled.hits(), disabled.misses()), (cache.hits(), cache.misses()));
     }
 
     #[test]
@@ -72,7 +61,7 @@ proptest! {
         let cfg = ChannelConfig::paper_bench(distance);
         let mut nudged = cfg;
         nudged.ambient_lux = f64::from_bits(cfg.ambient_lux.to_bits() + nudge_ulps);
-        let cache = OperatingPointCache::with_enabled(true);
+        let cache = OperatingPointCache::new();
         let a = cache.query(&cfg, 1.0, false);
         let b = cache.query(&nudged, 1.0, false);
         prop_assert_eq!(cache.misses(), 2);
