@@ -1,11 +1,12 @@
-//! The RX hot path before and after the speed pass: analytic
+//! The RX hot path before and after the speed passes: analytic
 //! operating-point derivation vs the interned cache, and the sampled
-//! slot pipeline with and without the reusable [`RxScratch`].
+//! slot pipeline: exact levels vs the bounded-decision
+//! `transmit_and_decide_into`, on a working and on a dead link.
 //!
 //! The "before" shapes are reconstructed from public API, mirroring
 //! `codec_scratch`'s baselines: `analytic_recompute` is the full
 //! `detector_with(..).error_probs()` chain the old per-frame/per-tick
-//! code paid on every call, `sampled_alloc` is the allocating
+//! code paid on every call, `frame_alloc` is the allocating
 //! detector + `transmit` + `decide_all` frame, and `decide_per_slot`
 //! recomputes the threshold slot by slot the way `decide` does.
 
@@ -65,6 +66,17 @@ fn bench_sampled(c: &mut Criterion) {
 
     group.bench_function("frame_scratch", |b| {
         let mut ch = OpticalChannel::new(cfg, DetRng::seed_from_u64(7));
+        let mut scratch = RxScratch::new();
+        b.iter(|| {
+            ch.transmit_and_decide_into(black_box(&slots), &mut scratch);
+            black_box(scratch.decided.as_slice());
+        })
+    });
+
+    // Past the range cliff almost no slot can be decided from its noise
+    // bounds: this times what the failed attempts cost.
+    group.bench_function("frame_scratch_dead_link", |b| {
+        let mut ch = OpticalChannel::new(ChannelConfig::paper_bench(4.5), DetRng::seed_from_u64(7));
         let mut scratch = RxScratch::new();
         b.iter(|| {
             ch.transmit_and_decide_into(black_box(&slots), &mut scratch);

@@ -11,6 +11,27 @@
 //! construction recommended by its authors. Implemented here directly (8
 //! lines of core math) so the kernel stays dependency-free.
 
+/// `√(2 (k+1) ln 2) · (1 + 1e-9)` for `k` in `0..64`: the table behind
+/// [`DetRng::gaussian_bound`], built at compile time.
+const GAUSSIAN_RADII: [f64; 64] = {
+    let mut radii = [0.0; 64];
+    let mut k = 0;
+    while k < 64 {
+        let x = (k + 1) as f64 * 2.0 * core::f64::consts::LN_2;
+        // Newton's iteration for √x, from x itself (x > 1 lies above √x);
+        // it settles within an ulp, far inside the margin.
+        let mut y = x;
+        let mut i = 0;
+        while i < 64 {
+            y = 0.5 * (y + x / y);
+            i += 1;
+        }
+        radii[k] = y * (1.0 + 1e-9);
+        k += 1;
+    }
+    radii
+};
+
 /// A deterministic pseudo-random stream (xoshiro256++).
 #[derive(Clone, Debug)]
 pub struct DetRng {
@@ -128,10 +149,40 @@ impl DetRng {
     /// Standard normal draw (Box–Muller; one value per call, the pair's
     /// second half is discarded for simplicity).
     pub fn next_gaussian(&mut self) -> f64 {
-        // Avoid ln(0) by nudging u away from zero.
-        let u = (self.next_f64()).max(f64::MIN_POSITIVE);
+        let (u, v) = self.gaussian_uniforms();
+        DetRng::box_muller(u, v)
+    }
+
+    /// The two uniforms one [`DetRng::next_gaussian`] draw consumes, in
+    /// draw order: `u` in `[f64::MIN_POSITIVE, 1)` (nudged away from zero
+    /// so `ln u` stays finite) and `v` in `[0, 1)`.
+    #[inline]
+    pub fn gaussian_uniforms(&mut self) -> (f64, f64) {
+        let u = self.next_f64().max(f64::MIN_POSITIVE);
         let v = self.next_f64();
+        (u, v)
+    }
+
+    /// The Box–Muller transform of [`DetRng::gaussian_uniforms`]: a
+    /// standard normal value.
+    #[inline]
+    pub fn box_muller(u: f64, v: f64) -> f64 {
         (-2.0 * u.ln()).sqrt() * (core::f64::consts::TAU * v).cos()
+    }
+
+    /// An upper bound on `|DetRng::box_muller(u, v)|` over every `v`,
+    /// computed from the binary exponent of `u` alone, without `ln`.
+    ///
+    /// With `u` in `[2^-(k+1), 2^-k)`, `√(−2 ln u) ≤ √(2 (k+1) ln 2)` and
+    /// `|cos| ≤ 1`. The bound is that radius for `k < 64`, raised by a
+    /// relative margin of 1e-9, far above the few-ulp error of libm's
+    /// `ln` and `sqrt`. Returns `None` for `u < 2^-64` (probability
+    /// 2^-64 per draw) and for any `u` outside `(0, 1)`.
+    #[inline]
+    pub fn gaussian_bound(u: f64) -> Option<f64> {
+        // u = 1.m × 2^(e − 1023) lies in [2^-(k+1), 2^-k) for k = 1022 − e.
+        let k = 1022u64.checked_sub(u.to_bits() >> 52)?;
+        GAUSSIAN_RADII.get(k as usize).copied()
     }
 
     /// Normal draw with the given mean and standard deviation.
@@ -249,6 +300,45 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.01, "mean={mean}");
         assert!((var - 1.0).abs() < 0.02, "var={var}");
+    }
+
+    #[test]
+    fn gaussian_is_box_muller_of_its_uniforms() {
+        let mut a = DetRng::seed_from_u64(8);
+        let mut b = DetRng::seed_from_u64(8);
+        for _ in 0..1000 {
+            let (u, v) = b.gaussian_uniforms();
+            assert_eq!(
+                a.next_gaussian().to_bits(),
+                DetRng::box_muller(u, v).to_bits()
+            );
+        }
+        assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn gaussian_bound_covers_every_angle() {
+        // The worst case of each exponent band is its lower edge
+        // u = 2^-(k+1) at v = 0 (cos = 1); the bound must still hold.
+        for k in 0..64 {
+            let edge = f64::powi(2.0, -(k + 1));
+            let r = DetRng::gaussian_bound(edge).expect("k < 64 is bounded");
+            assert!(DetRng::box_muller(edge, 0.0).abs() <= r, "k={k}");
+            assert!(DetRng::box_muller(edge, 0.5).abs() <= r, "k={k}");
+        }
+        let mut rng = DetRng::seed_from_u64(11);
+        for _ in 0..100_000 {
+            let (u, v) = rng.gaussian_uniforms();
+            let r = DetRng::gaussian_bound(u).expect("non-zero 53-bit uniforms are at least 2^-53");
+            assert!(DetRng::box_muller(u, v).abs() <= r, "u={u} v={v}");
+        }
+        // Below 2^-64, and outside (0, 1), there is no bound.
+        assert_eq!(DetRng::gaussian_bound(f64::powi(2.0, -65)), None);
+        assert_eq!(DetRng::gaussian_bound(f64::MIN_POSITIVE), None);
+        assert_eq!(DetRng::gaussian_bound(0.0), None);
+        assert_eq!(DetRng::gaussian_bound(1.0), None);
+        assert_eq!(DetRng::gaussian_bound(-0.5), None);
+        assert_eq!(DetRng::gaussian_bound(f64::NAN), None);
     }
 
     #[test]

@@ -60,11 +60,18 @@ impl AnalogFrontend {
     /// `i_ac_a` is the photocurrent with the ambient/dark DC already
     /// removed (the receiver AC-couples); `rng` supplies thermal noise.
     pub fn sample(&self, i_ac_a: f64, rng: &mut DetRng) -> u16 {
-        let noisy = i_ac_a + rng.next_normal(0.0, self.thermal_noise_a_rms);
-        let v = (noisy * self.tia_gain_v_per_a + self.bias_v).clamp(0.0, self.adc_vref_v);
-        let code = (v / self.lsb_v()).floor();
+        self.quantize(i_ac_a + rng.next_normal(0.0, self.thermal_noise_a_rms))
+    }
+
+    /// The ADC code of a noisy input current: TIA gain, bias, clamp to
+    /// the reference, floor to a code. Monotone non-decreasing in
+    /// `noisy_a` for a positive gain.
+    pub fn quantize(&self, noisy_a: f64) -> u16 {
+        let v = (noisy_a * self.tia_gain_v_per_a + self.bias_v).clamp(0.0, self.adc_vref_v);
         let max = ((1u64 << self.adc_bits) - 1) as f64;
-        code.min(max) as u16
+        // `v / lsb` is non-negative, so the truncating cast is the floor
+        // (`min` sends NaN to full scale).
+        (v / self.lsb_v()).min(max) as u16
     }
 
     /// Convert an ADC code back to the equivalent input current (for

@@ -60,6 +60,7 @@ pub mod link;
 pub mod opcache;
 pub mod optics;
 pub mod photodiode;
+mod sampled;
 pub mod shadowing;
 
 pub use ambient::AmbientProfile;

@@ -21,6 +21,7 @@ use crate::led::LedModel;
 use crate::opcache::{CachedOp, OperatingPointCache};
 use crate::optics::LambertianLink;
 use crate::photodiode::Photodiode;
+use crate::sampled::SampleChain;
 use desim::{DetRng, SimTime};
 use serde::{Deserialize, Serialize};
 use smartvlc_obs as obs;
@@ -69,7 +70,7 @@ impl ChannelConfig {
     }
 
     /// Total DC photocurrent from ambient light plus dark current, A.
-    fn ambient_current(&self) -> f64 {
+    pub(crate) fn ambient_current(&self) -> f64 {
         self.rx_diode.a_per_lux * self.ambient_lux + self.rx_diode.dark_current_a
     }
 
@@ -185,7 +186,9 @@ impl ChannelConfig {
 pub struct RxScratch {
     /// LED optical waveform, one entry per ADC sample.
     pub optical: Vec<f64>,
-    /// Per-slot averaged current levels (the output of the sampled path).
+    /// Per-slot averaged current levels (filled by `transmit_into`; the
+    /// decide path leaves it empty, since most of its slots are decided
+    /// without computing a level).
     pub levels: Vec<f64>,
     /// Per-slot decisions (filled by `transmit_and_decide_into`).
     pub decided: Vec<bool>,
@@ -343,52 +346,48 @@ impl OpticalChannel {
     /// the allocating path — same noise-stream draw order, same float
     /// expression shapes, only the loop-invariant factors hoisted.
     pub fn transmit_into(&mut self, slots: &[bool], scratch: &mut RxScratch) {
-        let spp = self.cfg.samples_per_slot;
-        self.cfg
-            .led
-            .synthesize_into(slots, self.cfg.tslot_s, spp, &mut scratch.optical);
-        let gain = self.cfg.geometry.path_gain() * self.blockage_gain * self.fault.gain;
-        let i_amb = self.ambient_current();
-        let i_amb_rin = self.cfg.ambient_rin * i_amb;
-        let rin_var = i_amb_rin * i_amb_rin;
-        let half_bw = spp as f64 / self.cfg.tslot_s / 2.0;
-        let responsivity = self.cfg.rx_diode.responsivity_a_per_w;
-        let slot_norm = (spp - 1) as f64;
+        self.synthesize_into(slots, scratch);
         scratch.levels.clear();
         scratch.levels.reserve(slots.len());
-        // Injected saturation: the front end is pinned at the rail, every
-        // sample reads full-scale regardless of the slot waveform — and
-        // consumes no noise draws. Hoisted out of the per-sample loop so
-        // the clear path below stays branch-free.
         if self.fault.saturated {
-            let max_i = self
-                .cfg
-                .frontend
-                .code_to_current(((1u64 << self.cfg.frontend.adc_bits) - 1) as u16);
-            for _ in 0..slots.len() {
-                // Keep the original repeated-add average: `max_i * n / n`
-                // is not bit-identical to summing n copies.
-                let mut acc = 0.0;
-                for _ in 1..spp {
-                    acc += max_i;
-                }
-                scratch.levels.push(acc / slot_norm);
-            }
+            scratch.levels.resize(slots.len(), self.saturated_level());
             return;
         }
-        for chunk in scratch.optical.chunks_exact(spp) {
-            let mut acc = 0.0;
-            for &p_opt in &chunk[1..] {
-                let i_sig = responsivity * p_opt * gain;
-                let shot = self.cfg.rx_diode.shot_noise_std_a(i_sig + i_amb, half_bw);
-                // Shot + ambient RIN enter before the frontend; the
-                // frontend adds its own thermal noise and quantizes.
-                let noise = self.rng.next_gaussian() * (shot * shot + rin_var).sqrt();
-                let code = self.cfg.frontend.sample(i_sig + noise, &mut self.rng);
-                acc += self.cfg.frontend.code_to_current(code);
-            }
-            scratch.levels.push(acc / slot_norm);
+        self.sample_chain()
+            .levels_into(&scratch.optical, &mut self.rng, &mut scratch.levels);
+    }
+
+    /// The LED waveform of `slots` into `scratch.optical`.
+    fn synthesize_into(&self, slots: &[bool], scratch: &mut RxScratch) {
+        self.cfg.led.synthesize_into(
+            slots,
+            self.cfg.tslot_s,
+            self.cfg.samples_per_slot,
+            &mut scratch.optical,
+        );
+    }
+
+    /// The receive chain at the current blockage, fault and ambient state.
+    fn sample_chain(&self) -> SampleChain {
+        let gain = self.cfg.geometry.path_gain() * self.blockage_gain * self.fault.gain;
+        SampleChain::new(&self.cfg, gain, self.ambient_current())
+    }
+
+    /// The level of every slot under injected saturation: the front end
+    /// is pinned at the rail, every sample reads full scale regardless of
+    /// the slot waveform, and no noise is drawn.
+    fn saturated_level(&self) -> f64 {
+        let max_i = self
+            .cfg
+            .frontend
+            .code_to_current(((1u64 << self.cfg.frontend.adc_bits) - 1) as u16);
+        // Keep the original repeated-add average: `max_i * n / n` is not
+        // bit-identical to summing n copies.
+        let mut acc = 0.0;
+        for _ in 1..self.cfg.samples_per_slot {
+            acc += max_i;
         }
+        acc / (self.cfg.samples_per_slot - 1) as f64
     }
 
     /// Transmit and decide with an ideal (analytically-trained) detector —
@@ -403,12 +402,29 @@ impl OpticalChannel {
     }
 
     /// Allocation-free form of [`OpticalChannel::transmit_and_decide`]:
-    /// fills `scratch.decided` in place (threshold computed once per
-    /// frame, detector served from the operating-point cache).
+    /// fills `scratch.decided` in place and leaves `scratch.levels` empty
+    /// (threshold computed once per frame, detector served from the
+    /// operating-point cache).
+    ///
+    /// Decisions and the noise stream's position are bit-identical to
+    /// deciding the levels of [`OpticalChannel::transmit_into`], but most
+    /// slots of a working link skip the Box–Muller transforms: a slot is
+    /// decided from bounds on its noise whenever no noise value its
+    /// uniforms allow could move it across the threshold, and evaluated
+    /// exactly otherwise (DESIGN.md §11).
     pub fn transmit_and_decide_into(&mut self, slots: &[bool], scratch: &mut RxScratch) {
-        let detector = self.analytic_detector();
-        self.transmit_into(slots, scratch);
-        detector.decide_into(&scratch.levels, &mut scratch.decided);
+        let thr = self.analytic_detector().threshold();
+        self.synthesize_into(slots, scratch);
+        scratch.levels.clear();
+        scratch.decided.clear();
+        scratch.decided.reserve(slots.len());
+        if self.fault.saturated {
+            let decision = self.saturated_level() > thr;
+            scratch.decided.resize(slots.len(), decision);
+            return;
+        }
+        self.sample_chain()
+            .decide_into(&scratch.optical, thr, &mut self.rng, &mut scratch.decided);
     }
 
     /// The expected detector operating point at the current configuration,
